@@ -36,7 +36,8 @@ def die(message):
 
 
 def build(build_dir):
-    """Configures (once) and builds perfbench and iuad_main."""
+    """Configures (once) and builds perfbench and iuad_main (the latter in
+    <build dir>/iuad/, by the repository's own CMakeLists.txt)."""
     jobs = str(min(4, os.cpu_count() or 1))
     if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
         configure = ["cmake", "-S", HERE, "-B", build_dir,
@@ -114,7 +115,7 @@ def main():
     command = [os.path.join(build_dir, "perfbench"), args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
                "--trace", str(args.trace), "--work-dir", work_dir,
-               "--iuad-main", os.path.join(build_dir, "iuad_main"),
+               "--iuad-main", os.path.join(build_dir, "iuad", "iuad_main"),
                "--scale", args.scale,
                "--corrupt-oracle", str(args.corrupt_oracle)]
     try:

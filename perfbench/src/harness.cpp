@@ -155,8 +155,15 @@ double Median(std::vector<double> samples) {
 void Tracer::Span(const std::string& name, double start_s, double end_s,
                   int64_t id, int tid) {
   if (!enabled_) return;
+  const double t0 = Now();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({name, start_s, end_s, id, tid});
+  busy_s_ += Now() - t0;
+}
+
+double Tracer::busy_s() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return busy_s_;
 }
 
 bool Tracer::Write(const std::string& path) const {
@@ -257,7 +264,7 @@ data::Corpus MakeCorpus(uint64_t seed, int papers) {
   const double author_scale = static_cast<double>(authors) / 960.0;
   cfg.given_name_pool = static_cast<int>(180 * author_scale);
   cfg.surname_pool = static_cast<int>(140 * author_scale);
-  cfg.name_zipf = 0.7;
+  cfg.name_zipf = kNameZipf;
   cfg.seed = seed;
   return data::CorpusGenerator(cfg).Generate();
 }
@@ -500,13 +507,6 @@ void ServingTotals::Report(perfbench::Report* report) const {
               "bytes");
   report->Set("wal.fsync_wait_us_p99",
               HistPercentileUs(registry, "wal_fsync_wait_us", 99), "us");
-}
-
-double OverheadPct(const std::vector<double>& traced,
-                   const std::vector<double>& untraced) {
-  const double off = Median(untraced);
-  if (traced.empty() || off <= 0) return 0.0;
-  return (Median(traced) - off) / off * 100.0;
 }
 
 double FileBytes(const std::string& path) {

@@ -98,6 +98,9 @@ class Tracer {
   /// Records [start_s, end_s] (Now() seconds) under `name` on track `tid`.
   void Span(const std::string& name, double start_s, double end_s,
             int64_t id = -1, int tid = 0);
+  /// Seconds spent inside Span() so far, summed over threads: what
+  /// tracing adds to a traced run over an untraced one.
+  double busy_s() const;
   /// Writes {"traceEvents": [...]}; returns false on I/O failure.
   bool Write(const std::string& path) const;
 
@@ -112,6 +115,7 @@ class Tracer {
   bool enabled_;
   mutable std::mutex mu_;
   std::vector<Event> events_;
+  double busy_s_ = 0.0;
 };
 
 /// Host-noise counters, read at the start and end of the measured phase.
@@ -133,7 +137,11 @@ double RssKb(pid_t pid);
 /// scoring work of one corpus by up to 17x between seeds.
 uint64_t CorpusSeed(uint64_t seed, int i);
 
-/// Corpus of `papers` papers with the Zipf(0.7) name mix: DBLP-like
+/// Zipf exponent of the corpus's name mix (the repository's bench corpus);
+/// serve_mixed skews its reads by the same exponent.
+constexpr double kNameZipf = 0.7;
+
+/// Corpus of `papers` papers with the Zipf(kNameZipf) name mix: DBLP-like
 /// author density (~5 papers per author) with name pools proportional to
 /// the author population.
 data::Corpus MakeCorpus(uint64_t seed, int papers);
@@ -201,10 +209,6 @@ struct ServingTotals {
            double wall, int64_t num_papers);
   void Report(perfbench::Report* report) const;
 };
-
-/// Traced-vs-untraced overhead of the measured unit, in percent.
-double OverheadPct(const std::vector<double>& traced,
-                   const std::vector<double>& untraced);
 
 /// Size of a file in bytes (0 when unreadable).
 double FileBytes(const std::string& path);
