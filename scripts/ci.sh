@@ -266,6 +266,18 @@ diff <(grep '"op":"query_authors"' "$SMOKE_DIR/out6.txt") \
      <(grep '"op":"query_authors"' "$SMOKE_DIR/out7.txt")
 echo "WAL kill -9 / recover smoke: OK"
 
+# Benchmark smoke: every perfbench workload at tiny size
+# (perfbench/test_perfbench.py); the two serving workloads check each
+# commit against a sequential-AddPaper byte-identity oracle. Regular gate
+# only. The benchmark gets its own build tree under this gate's:
+# perfbench/run.py configures a build dir only on first use, so a dir
+# shared with another checkout would silently build that checkout's sources.
+if [[ "${IUAD_SANITIZE:-0}" == "0" ]]; then
+  CARGO_TARGET_DIR="$PWD/$BUILD_DIR/perfbench-build" \
+    python3 perfbench/test_perfbench.py
+  echo "perfbench tiny smoke: OK"
+fi
+
 # Optional bench trajectories (BENCH_stages.json, BENCH_ingest.json,
 # BENCH_shard.json, BENCH_api.json, BENCH_wal.json). Off by default to
 # keep CI time bounded; set IUAD_RUN_BENCH=1 to record them.

@@ -17,13 +17,21 @@ OccurrenceDecision ScoreOccurrence(const SimilarityComputer& sim,
   // and is marginalized out, and the candidate-pair class prior does not
   // describe the new-paper base rate, so the pure likelihood ratio is used.
   const std::vector<bool> mask{true, false, true, true, true, true};
-  for (graph::VertexId v : graph.VerticesWithName(name)) {
-    ++d.num_candidates;
-    const double score = model.LikelihoodRatioMasked(
-        sim.ComputeVsNewPaper(v, paper, name), mask);
-    if (score > d.best_score) {
-      d.best_score = score;
-      d.target = v;
+  const std::vector<graph::VertexId>& candidates =
+      graph.VerticesWithName(name);
+  if (!candidates.empty()) {
+    // The occurrence's own side (profile, co-author labels) is the same
+    // against every candidate: build it once.
+    const SimilarityComputer::NewOccurrence occ =
+        sim.PrepareNewOccurrence(paper, name);
+    for (graph::VertexId v : candidates) {
+      ++d.num_candidates;
+      const double score = model.LikelihoodRatioMasked(
+          sim.ComputeVsNewOccurrence(v, occ), mask);
+      if (score > d.best_score) {
+        d.best_score = score;
+        d.target = v;
+      }
     }
   }
   if (d.best_score < delta) d.target = -1;
@@ -79,19 +87,11 @@ void IncrementalDisambiguator::Refresh() {
   // caches are being rebuilt anyway. Purely a storage change: neighbor
   // iteration order and content are identical before and after.
   result_->graph.Compact();
+  // The new computer's WL kernel keeps its own copy of the adjacency it
+  // refined, so γ1 until the next refresh is a function of this snapshot
+  // alone, however many papers commit before a ball is first enumerated.
   sim_ = std::make_unique<SimilarityComputer>(*db_, result_->graph,
                                               result_->embeddings, config_);
-  // Freeze γ1 at the refresh snapshot: compute every alive vertex's WL ball
-  // now instead of on first score, so a score between refreshes does not
-  // depend on how many papers committed before the ball was first
-  // enumerated. Same values as the sharded/pipelined serving paths, which
-  // prewarm the identical snapshot partitioned by shard ownership.
-  std::vector<graph::VertexId> alive;
-  alive.reserve(static_cast<size_t>(result_->graph.num_alive()));
-  for (graph::VertexId v = 0; v < result_->graph.num_vertices(); ++v) {
-    if (result_->graph.alive(v)) alive.push_back(v);
-  }
-  sim_->PrewarmStructure(alive);
   since_refresh_ = 0;
 }
 

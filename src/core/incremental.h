@@ -78,10 +78,12 @@ iuad::Result<std::vector<IncrementalAssignment>> ApplyDecisions(
 /// Streams new papers into an existing disambiguation result.
 ///
 /// `db` must be the same database the result was built from (ids must
-/// agree); both are mutated by AddPaper. Structure caches (WL kernel,
-/// profiles) are refreshed every config.incremental_refresh_interval papers;
-/// between refreshes new edges are visible to the text/venue features
-/// immediately and to the structural features after the next refresh.
+/// agree); both are mutated by AddPaper. The similarity snapshot (WL labels
+/// plus a neighbor-id copy of the adjacency, corpus frequencies) is retaken
+/// every config.incremental_refresh_interval papers; WL ball features are
+/// enumerated lazily from that copy, only for scored candidates. Between
+/// refreshes new papers are visible to the text/venue features immediately
+/// (touched profiles are invalidated) and to γ1 after the next refresh.
 class IncrementalDisambiguator {
  public:
   IncrementalDisambiguator(data::PaperDatabase* db,

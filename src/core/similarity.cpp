@@ -44,32 +44,16 @@ SimilarityComputer::SimilarityComputer(const data::PaperDatabase& db,
       config_(config),
       wl_(graph, config.wl_iterations, pool),
       freqs_(std::make_shared<FrequencySnapshot>(FrequencySnapshot{
-          db.venue_frequencies(), db.keyword_frequencies()})) {
-  ComputeEmbeddingCenter();
-}
+          db.venue_frequencies(), db.keyword_frequencies()})) {}
 
-void SimilarityComputer::PrewarmStructure(
-    const std::vector<graph::VertexId>& vs, util::ThreadPool* pool) const {
-  wl_.PrewarmFeatures(vs, pool);
-}
-
-void SimilarityComputer::ComputeEmbeddingCenter() {
-  embedding_center_.assign(static_cast<size_t>(embeddings_.dim()), 0.0f);
-  if (!embeddings_.trained()) return;
-  const auto& vocab = embeddings_.vocabulary();
-  double total = 0.0;
-  text::Vec sum(static_cast<size_t>(embeddings_.dim()), 0.0f);
-  for (int id = 0; id < vocab.size(); ++id) {
-    const text::Vec* v = embeddings_.VectorOf(vocab.WordOf(id));
-    if (v == nullptr) continue;
-    const float w = static_cast<float>(vocab.CountOf(id));
-    for (size_t i = 0; i < sum.size(); ++i) sum[i] += w * (*v)[i];
-    total += w;
+text::Vec SimilarityComputer::CenteredMean(text::Vec sum,
+                                           int embedded_words) const {
+  if (embedded_words > 0) {
+    text::ScaleInPlace(&sum, 1.0f / static_cast<float>(embedded_words));
+    const text::Vec& center = embeddings_.center();
+    for (size_t i = 0; i < sum.size(); ++i) sum[i] -= center[i];
   }
-  if (total > 0) {
-    text::ScaleInPlace(&sum, static_cast<float>(1.0 / total));
-    embedding_center_ = std::move(sum);
-  }
+  return sum;
 }
 
 void SimilarityComputer::InvalidateProfile(graph::VertexId v) {
@@ -97,12 +81,7 @@ SimilarityComputer::Profile SimilarityComputer::BuildProfileFromPapers(
   for (auto& [kw, years] : p.keyword_years) {
     std::sort(years.begin(), years.end());
   }
-  if (embedded_words > 0) {
-    text::ScaleInPlace(&sum, 1.0f / static_cast<float>(embedded_words));
-    // Remove the corpus-wide common component (see ComputeEmbeddingCenter).
-    for (size_t i = 0; i < sum.size(); ++i) sum[i] -= embedding_center_[i];
-  }
-  p.mean_embedding = std::move(sum);
+  p.mean_embedding = CenteredMean(std::move(sum), embedded_words);
   // Representative venue: most frequent, ties to the lexicographically
   // smallest for determinism.
   int best = -1;
@@ -131,11 +110,7 @@ SimilarityComputer::Profile SimilarityComputer::BuildProfileFromSinglePaper(
       ++embedded_words;
     }
   }
-  if (embedded_words > 0) {
-    text::ScaleInPlace(&sum, 1.0f / static_cast<float>(embedded_words));
-    for (size_t i = 0; i < sum.size(); ++i) sum[i] -= embedding_center_[i];
-  }
-  p.mean_embedding = std::move(sum);
+  p.mean_embedding = CenteredMean(std::move(sum), embedded_words);
   return p;
 }
 
@@ -278,24 +253,36 @@ SimilarityVector SimilarityComputer::Compute(graph::VertexId u,
   return gamma;
 }
 
-SimilarityVector SimilarityComputer::ComputeVsNewPaper(
-    graph::VertexId v, const data::Paper& paper,
-    const std::string& name) const {
-  SimilarityVector gamma(kNumSimilarities, 0.0);
-  const Profile& pv = ProfileOf(v);
-  const Profile pn = BuildProfileFromSinglePaper(paper);
-
+SimilarityComputer::NewOccurrence SimilarityComputer::PrepareNewOccurrence(
+    const data::Paper& paper, const std::string& name) const {
+  NewOccurrence occ;
+  occ.profile = BuildProfileFromSinglePaper(paper);
   // γ1: the new occurrence is a star whose neighbors are its byline
-  // co-authors; compare those names against v's WL ball.
+  // co-authors; only their names' iteration-0 labels can match a ball.
   std::vector<std::string> coauthors;
   for (const auto& other : paper.author_names) {
     if (other != name) coauthors.push_back(other);
   }
-  gamma[0] = wl_.NormalizedKernelVsNameSet(v, coauthors);
+  occ.coauthor_labels = wl_.NameLabels(coauthors);
+  occ.num_coauthors = coauthors.size();
+  return occ;
+}
+
+SimilarityVector SimilarityComputer::ComputeVsNewOccurrence(
+    graph::VertexId v, const NewOccurrence& occ) const {
+  SimilarityVector gamma(kNumSimilarities, 0.0);
+  gamma[0] = wl_.NormalizedKernelVsLabels(v, occ.coauthor_labels,
+                                          occ.num_coauthors);
   // γ2: an unattached occurrence participates in no cliques yet.
   gamma[1] = 0.0;
-  FillTextAndVenueFeatures(pv, pn, &gamma);
+  FillTextAndVenueFeatures(ProfileOf(v), occ.profile, &gamma);
   return gamma;
+}
+
+SimilarityVector SimilarityComputer::ComputeVsNewPaper(
+    graph::VertexId v, const data::Paper& paper,
+    const std::string& name) const {
+  return ComputeVsNewOccurrence(v, PrepareNewOccurrence(paper, name));
 }
 
 }  // namespace iuad::core

@@ -45,9 +45,11 @@ namespace iuad::core {
 /// One γ vector.
 using SimilarityVector = std::vector<double>;
 
-/// Computes γ vectors against one graph snapshot. The referenced database,
+/// Computes γ vectors. γ1 (the WL kernel) and the corpus frequency tables
+/// are frozen at construction; profiles read the live database and graph on
+/// first use and are dropped by InvalidateProfile. The referenced database,
 /// graph, and embeddings must outlive this object. Rebuild after bulk graph
-/// mutation (merges / splits) — the WL kernel is snapshot-bound.
+/// mutation (merges / splits) to see it in γ1.
 class SimilarityComputer {
  public:
   /// When `pool` is given, the snapshot-bound WL refinement runs across its
@@ -88,25 +90,26 @@ class SimilarityComputer {
       const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
       util::ThreadPool* pool = nullptr) const;
 
-  /// γ1..γ6 between vertex `v` and the *new occurrence* of `name` in
-  /// `paper` — the isolated-vertex comparison of the incremental path
-  /// (Sec. V-E). The paper need not be in the database yet.
+  /// Everything the incremental comparison derives from the new occurrence
+  /// alone — its single-paper profile and its byline co-authors' WL labels
+  /// — built once per (paper, name) and scored against each same-name
+  /// candidate (defined below the class).
+  struct NewOccurrence;
+
+  /// The new-occurrence side of the occurrence of `name` in `paper`. The
+  /// paper need not be in the database yet.
+  NewOccurrence PrepareNewOccurrence(const data::Paper& paper,
+                                     const std::string& name) const;
+
+  /// γ1..γ6 between vertex `v` and a prepared new occurrence — the
+  /// isolated-vertex comparison of the incremental path (Sec. V-E).
+  SimilarityVector ComputeVsNewOccurrence(graph::VertexId v,
+                                          const NewOccurrence& occ) const;
+
+  /// ComputeVsNewOccurrence(v, PrepareNewOccurrence(paper, name)).
   SimilarityVector ComputeVsNewPaper(graph::VertexId v,
                                      const data::Paper& paper,
                                      const std::string& name) const;
-
-  /// Eagerly computes (and caches) the WL ball features of every vertex in
-  /// `vs`, fanned out over `pool` when given. The incremental serving paths
-  /// call this at every cache refresh for the vertices they may score, so
-  /// γ1 between refreshes is a pure function of the refresh-time snapshot —
-  /// not of when a lazily-filled ball first happened to be enumerated
-  /// against the live adjacency. That timing-independence is what lets the
-  /// pipelined shard router score a paper before its sequence predecessors
-  /// commit (shard_router.h) while staying byte-identical to sequential
-  /// ingestion. Unknown / post-refresh vertex ids are ignored (they have no
-  /// refinement labels and deterministically score γ1 = 0).
-  void PrewarmStructure(const std::vector<graph::VertexId>& vs,
-                        util::ThreadPool* pool = nullptr) const;
 
   /// Drops the cached profile of `v` (call after v gains papers/edges).
   void InvalidateProfile(graph::VertexId v);
@@ -137,11 +140,12 @@ class SimilarityComputer {
   Profile BuildProfileFromSinglePaper(const data::Paper& paper) const;
   void FillTextAndVenueFeatures(const Profile& a, const Profile& b,
                                 SimilarityVector* gamma) const;
-  /// Frequency-weighted mean of all word vectors. Mean keyword embeddings
+  /// Mean keyword embedding of `sum` over `embedded_words` words, minus the
+  /// corpus-wide center (text::Word2Vec::center()): mean keyword embeddings
   /// are strongly anisotropic (every profile's mean points roughly the same
   /// way, saturating the cosine near 1); subtracting this common component
   /// restores discriminative power for γ3.
-  void ComputeEmbeddingCenter();
+  text::Vec CenteredMean(text::Vec sum, int embedded_words) const;
 
   /// Corpus statistics frozen at construction. γ4/γ6 weight keyword and
   /// venue overlaps by inverse corpus frequency (Eq. 7 / Eq. 9); between
@@ -171,9 +175,17 @@ class SimilarityComputer {
   const text::Word2Vec& embeddings_;
   IuadConfig config_;
   graph::WlVertexKernel wl_;
-  text::Vec embedding_center_;
   std::shared_ptr<const FrequencySnapshot> freqs_;
   mutable std::unordered_map<graph::VertexId, Profile> profiles_;
+};
+
+struct SimilarityComputer::NewOccurrence {
+  Profile profile;
+  /// Iteration-0 WL labels of the byline names other than the occurrence's
+  /// own (graph::WlVertexKernel::NameLabels), and how many such names the
+  /// byline has — resolvable or not, they all count in the γ1 normalizer.
+  std::vector<int> coauthor_labels;
+  size_t num_coauthors = 0;
 };
 
 }  // namespace iuad::core

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -173,11 +174,24 @@ void MetricsServer::ServeLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (Shutdown) or fatal
     }
-    // One recv of the GET line is all a scraper needs to send; the path
-    // selects between the two read-only surfaces.
+    // Read the whole request head, up to its blank line, before answering:
+    // closing a socket with unread request bytes makes the kernel send RST,
+    // which discards the response at the client. Scrapers may write the
+    // request line and the blank line separately (bash's line-buffered
+    // printf does). The receive timeout keeps a client that never finishes
+    // its head from holding this loop. The path selects between the two
+    // read-only surfaces.
+    const timeval recv_timeout{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+                 sizeof(recv_timeout));
+    std::string head;
     char buf[1024];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    const std::string head(buf, n > 0 ? static_cast<size_t>(n) : 0);
+    while (head.size() < 8192 && head.find("\r\n\r\n") == std::string::npos &&
+           head.find("\n\n") == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;  // EOF, error or timeout: answer what arrived
+      head.append(buf, static_cast<size_t>(n));
+    }
     std::string body;
     const char* content_type = "text/plain; version=0.0.4";
     if (head.rfind("GET /trace", 0) == 0) {

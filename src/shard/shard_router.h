@@ -31,8 +31,10 @@
 ///      shard and fanned out across all in-flight papers at once, every
 ///      shard reading the same frozen pre-window snapshot through its OWN
 ///      SimilarityComputer (profile caches partitioned by block ownership,
-///      not replicated). Frozen is exact, not approximate: WL ball features
-///      and corpus frequency tables are snapshotted at refresh time
+///      not replicated). Frozen is exact, not approximate: the WL
+///      refinement labels, a neighbor-id copy of the adjacency (balls are
+///      enumerated lazily from that copy, never from the live graph) and
+///      the corpus frequency tables are snapshotted at refresh time
 ///      (core::SimilarityComputer), profiles of touched vertices are
 ///      invalidated by commits, and γ2 (the one live cross-block read,
 ///      triangles) is masked out of incremental scoring — so a
@@ -49,10 +51,12 @@
 ///      sequential path runs, stale profiles are invalidated on the owning
 ///      shards, the promise resolves, and the admission window advances.
 ///   4. REFRESH  — every config.incremental_refresh_interval applied papers
-///      (the same cadence as the raw incremental path) every shard rebuilds
-///      its similarity caches in parallel and prewarms the WL features of
-///      its owned alive vertices; the window cap makes the refresh a full
-///      pipeline barrier at exactly the sequential path's paper counts.
+///      (the same cadence as the raw incremental path) the router takes one
+///      new snapshot (WL refinement across the shard pool) and gives every
+///      shard a computer sharing it, with empty caches; a shard computes
+///      WL features only for the candidates it scores, on first score. The
+///      window cap makes the refresh a full pipeline barrier at exactly the
+///      sequential path's paper counts.
 ///
 /// pipeline_depth = 1 degenerates to the pre-pipeline router: one paper per
 /// window, nothing deferred, scatter/commit per paper.
@@ -222,9 +226,9 @@ class ShardRouter : public serve::Frontend {
   /// Phase 2 for one in-flight paper at its turn in the sequence: rescore
   /// deferred bylines, ApplyDecisions, invalidate, count.
   Assignments CommitPaper(InFlight* w);
-  /// Rebuilds every shard's similarity caches in parallel and prewarms the
-  /// WL features of each shard's owned alive vertices (freezing γ1 at this
-  /// snapshot; see SimilarityComputer::PrewarmStructure).
+  /// Takes a new similarity snapshot (freezing γ1 and the corpus
+  /// frequencies at this commit) and gives every shard a computer that
+  /// shares it, with empty profile/feature caches.
   void RefreshShards();
   void PublishView();
   std::shared_ptr<const ReadView> CurrentView() const;

@@ -103,7 +103,25 @@ iuad::Result<Word2Vec> Word2Vec::Restore(Word2VecConfig config,
   w2v.final_lr_ = final_lr;
   w2v.trained_tokens_ = trained_tokens;
   w2v.trained_ = true;
+  w2v.ComputeCenter();
   return w2v;
+}
+
+void Word2Vec::ComputeCenter() {
+  center_.assign(static_cast<size_t>(config_.dim), 0.0f);
+  double total = 0.0;
+  Vec sum(static_cast<size_t>(config_.dim), 0.0f);
+  for (int id = 0; id < vocab_.size(); ++id) {
+    const Vec* v = VectorOf(vocab_.WordOf(id));
+    if (v == nullptr) continue;
+    const float w = static_cast<float>(vocab_.CountOf(id));
+    for (size_t i = 0; i < sum.size(); ++i) sum[i] += w * (*v)[i];
+    total += w;
+  }
+  if (total > 0) {
+    ScaleInPlace(&sum, static_cast<float>(1.0 / total));
+    center_ = std::move(sum);
+  }
 }
 
 iuad::Status Word2Vec::Train(
@@ -183,6 +201,7 @@ iuad::Status Word2Vec::Train(
     }
     final_lr_ = last_lr;
     trained_ = true;
+    ComputeCenter();
     return iuad::Status::OK();
   }
 
@@ -253,6 +272,7 @@ iuad::Status Word2Vec::Train(
   }
   final_lr_ = shard_last_lr[S - 1];
   trained_ = true;
+  ComputeCenter();
   return iuad::Status::OK();
 }
 

@@ -60,7 +60,8 @@ struct Word2VecConfig {
 /// SGNS trainer and embedding table.
 class Word2Vec {
  public:
-  explicit Word2Vec(Word2VecConfig config = {}) : config_(config) {}
+  explicit Word2Vec(Word2VecConfig config = {})
+      : config_(config), center_(static_cast<size_t>(config.dim), 0.0f) {}
 
   /// Trains on tokenized sentences (keyword lists). Builds the vocabulary
   /// internally. Returns InvalidArgument for an empty corpus.
@@ -93,6 +94,11 @@ class Word2Vec {
   std::vector<std::pair<std::string, double>> MostSimilar(
       const std::string& word, int k) const;
 
+  /// Vocabulary-frequency-weighted mean of all word vectors; the zero
+  /// vector before training. Computed once when the table is set (Train /
+  /// Restore) — the vectors never change after that.
+  const Vec& center() const { return center_; }
+
   int dim() const { return config_.dim; }
   const Vocabulary& vocabulary() const { return vocab_; }
   bool trained() const { return trained_; }
@@ -116,6 +122,8 @@ class Word2Vec {
   /// Resolves config_.num_shards against the corpus size (see the config
   /// field comment); always in [1, num_sentences].
   int ResolveNumShards(size_t num_sentences) const;
+  /// Sets center_ from the trained vectors.
+  void ComputeCenter();
   /// One epoch-segment of SGD over encoded sentences [begin, end), writing
   /// into *in / *out. `steps_base` positions the segment on the global
   /// learning-rate schedule (lr decays with (steps_base + local step) /
@@ -134,6 +142,7 @@ class Word2Vec {
   std::vector<Vec> in_vectors_;   // word embeddings (the output of training)
   std::vector<Vec> out_vectors_;  // context-side parameters
   std::vector<int> negative_table_;
+  Vec center_;
   bool trained_ = false;
   double final_lr_ = 0.0;
   int64_t trained_tokens_ = 0;

@@ -5,27 +5,40 @@
 
 namespace iuad::util {
 
+// Constructors lock only the source: the object under construction is not
+// yet visible to any other thread. Assignments take both locks through
+// std::lock, which imposes no fixed order, so no pair of copies or moves
+// between the same two interners can form a lock-order cycle.
+
 StringInterner::StringInterner(const StringInterner& other) {
+  std::shared_lock other_lock(other.mu_);
   CopyFrom(other);
 }
 
 StringInterner& StringInterner::operator=(const StringInterner& other) {
-  if (this != &other) CopyFrom(other);
+  if (this != &other) {
+    std::unique_lock self_lock(mu_, std::defer_lock);
+    std::shared_lock other_lock(other.mu_, std::defer_lock);
+    std::lock(self_lock, other_lock);
+    CopyFrom(other);
+  }
   return *this;
 }
 
 StringInterner::StringInterner(StringInterner&& other) noexcept {
+  std::unique_lock other_lock(other.mu_);
   MoveFrom(other);
 }
 
 StringInterner& StringInterner::operator=(StringInterner&& other) noexcept {
-  if (this != &other) MoveFrom(other);
+  if (this != &other) {
+    std::scoped_lock lock(mu_, other.mu_);
+    MoveFrom(other);
+  }
   return *this;
 }
 
 void StringInterner::CopyFrom(const StringInterner& other) {
-  std::shared_lock other_lock(other.mu_);
-  std::unique_lock self_lock(mu_);
   blocks_.clear();
   block_used_ = 0;
   arena_bytes_ = 0;
@@ -41,8 +54,6 @@ void StringInterner::CopyFrom(const StringInterner& other) {
 }
 
 void StringInterner::MoveFrom(StringInterner& other) {
-  std::unique_lock other_lock(other.mu_);
-  std::unique_lock self_lock(mu_);
   blocks_ = std::move(other.blocks_);
   block_used_ = other.block_used_;
   arena_bytes_ = other.arena_bytes_;

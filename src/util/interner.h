@@ -66,8 +66,9 @@ class StringInterner {
 
   /// Copies `s` into the arena; the result outlives every later Intern.
   std::string_view ArenaCopy(std::string_view s);
-  void CopyFrom(const StringInterner& other);  // caller holds no locks
-  void MoveFrom(StringInterner& other);        // locks `other`
+  // Callers hold `other`'s lock, and this object's unless constructing.
+  void CopyFrom(const StringInterner& other);
+  void MoveFrom(StringInterner& other);
 
   mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<char[]>> blocks_;

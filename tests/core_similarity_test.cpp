@@ -200,6 +200,30 @@ TEST_F(SimilarityFixture, ComputeVsNewPaperWlUsesCoauthorNames) {
   EXPECT_DOUBLE_EQ(sim.ComputeVsNewPaper(vx1_, with_stranger, "X")[0], 0.0);
 }
 
+TEST_F(SimilarityFixture, NewOccurrenceGammaOneFrozenAtConstruction) {
+  // γ1 against a new occurrence reads the construction-time snapshot, even
+  // when vx1's ball is first enumerated after the graph has changed (the
+  // incremental path's situation between refreshes), and in copies.
+  SimilarityComputer sim(db_, g_, NoEmbeddings(), DefaultConfig());
+  SimilarityComputer copy(sim);
+  data::Paper paper =
+      iuad::testing::MakePaper({"X", "Alice", "Dave"}, "graph kernels",
+                               "ICDE", 2014);
+  SimilarityComputer reference(db_, g_, NoEmbeddings(), DefaultConfig());
+  const SimilarityVector before = reference.ComputeVsNewPaper(vx1_, paper, "X");
+  // vx1 gains a new co-author Dave, and Dave links on to Bob.
+  const VertexId dave = g_.AddVertex("Dave", {});
+  ASSERT_TRUE(g_.AddEdgePapers(vx1_, dave, {p1_}).ok());
+  ASSERT_TRUE(g_.AddEdgePapers(dave, b2_, {p1_}).ok());
+  const SimilarityComputer::NewOccurrence occ =
+      sim.PrepareNewOccurrence(paper, "X");
+  EXPECT_EQ(sim.ComputeVsNewOccurrence(vx1_, occ)[0], before[0]);
+  EXPECT_EQ(copy.ComputeVsNewPaper(vx1_, paper, "X")[0], before[0]);
+  // A computer built after the change sees Dave in vx1's ball.
+  SimilarityComputer rebuilt(db_, g_, NoEmbeddings(), DefaultConfig());
+  EXPECT_GT(rebuilt.ComputeVsNewPaper(vx1_, paper, "X")[0], before[0]);
+}
+
 TEST_F(SimilarityFixture, AllOverlapFeaturesNonNegative) {
   SimilarityComputer sim(db_, g_, NoEmbeddings(), DefaultConfig());
   for (VertexId u : {vx1_, vx2_, vx3_}) {

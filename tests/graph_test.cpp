@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "graph/collab_graph.h"
 #include "graph/components.h"
@@ -367,6 +370,93 @@ TEST(WlKernelTest, PostBuildVerticesHandledConservatively) {
   const VertexId late = g.AddVertex("A", {});  // added after Build
   EXPECT_DOUBLE_EQ(wl.NormalizedKernelVsNameSet(late, {"B"}), 0.0);
   EXPECT_DOUBLE_EQ(wl.NormalizedKernel(a, late), 0.0);
+}
+
+TEST(WlKernelTest, LazyFeaturesStayFrozenAtBuildAcrossMutations) {
+  // γ1 must be a function of the build-time graph alone, however late a
+  // vertex's ball is first enumerated: the incremental serving paths build
+  // the kernel at a refresh and then keep committing papers.
+  std::mt19937 rng(17);
+  auto pick = [&rng](int n) {
+    return static_cast<VertexId>(rng() % static_cast<unsigned>(n));
+  };
+  auto name_of = [](int k) { return "N" + std::to_string(k % 40); };
+  CollabGraph g;
+  constexpr int kBuilt = 400;
+  for (int k = 0; k < kBuilt; ++k) g.AddVertex(name_of(k), {});
+  int paper = 0;
+  for (int e = 0; e < 1000; ++e) {
+    const VertexId u = pick(kBuilt);
+    const VertexId v = pick(kBuilt);
+    if (u != v) {
+      ASSERT_TRUE(g.AddEdgePapers(u, v, {paper++}).ok());
+    }
+  }
+  g.Compact();  // as a refresh does: overflow empty at build
+  const int edges_at_build = g.num_edges();
+
+  const int kDepth = 2;
+  const WlVertexKernel eager(g, kDepth);  // queried before any mutation
+  const WlVertexKernel lazy(g, kDepth);   // queried only after them
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (VertexId v = 0; v + 40 < kBuilt; v += 7) pairs.emplace_back(v, v + 40);
+  const std::vector<std::string> names{"N1", "N2", "N3", "Nobody"};
+  std::vector<double> pair_ref, name_ref;
+  for (const auto& [u, v] : pairs) {
+    pair_ref.push_back(eager.NormalizedKernel(u, v));
+    name_ref.push_back(eager.NormalizedKernelVsNameSet(u, names));
+  }
+  ASSERT_GT(*std::max_element(pair_ref.begin(), pair_ref.end()), 0.0);
+  ASSERT_GT(*std::max_element(name_ref.begin(), name_ref.end()), 0.0);
+
+  // Mutations: new vertices; "bridges" from pre-build vertices to new ones
+  // that lead on to distant pre-build vertices (a live BFS would walk
+  // through them); and enough new edges to force MaybeCompact, which
+  // folds the overflow once it holds >= 1024 half-edges and >= 1/4 of the
+  // base.
+  const WlVertexKernel copied(lazy);  // copies share the snapshot
+  constexpr int kLate = 100;
+  for (int k = 0; k < kLate; ++k) g.AddVertex(name_of(k), {});
+  for (const auto& [u, v] : pairs) {
+    const VertexId bridge = kBuilt + pick(kLate);
+    ASSERT_TRUE(g.AddEdgePapers(u, bridge, {paper++}).ok());
+    ASSERT_TRUE(g.AddEdgePapers(bridge, (v + 123) % kBuilt, {paper++}).ok());
+  }
+  while (g.num_edges() - edges_at_build < 800) {
+    const VertexId u = pick(kBuilt + kLate);
+    const VertexId v = pick(kBuilt);
+    if (u != v) {
+      ASSERT_TRUE(g.AddEdgePapers(u, v, {paper++}).ok());
+    }
+  }
+  const int new_half_edges = 2 * (g.num_edges() - edges_at_build);
+  ASSERT_GE(new_half_edges, 1024);
+  ASSERT_GE(new_half_edges * 4, 2 * edges_at_build);
+
+  // The mutations do change the live balls: a rebuild sees them.
+  const WlVertexKernel rebuilt(g, kDepth);
+  bool moved = false;
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    moved |= rebuilt.NormalizedKernel(pairs[k].first, pairs[k].second) !=
+             pair_ref[k];
+  }
+  EXPECT_TRUE(moved);
+
+  // The kernels built before them do not: bit-equal to the eager values.
+  for (size_t k = 0; k < pairs.size(); ++k) {
+    const auto [u, v] = pairs[k];
+    EXPECT_EQ(lazy.NormalizedKernel(u, v), pair_ref[k]) << u << "," << v;
+    EXPECT_EQ(lazy.NormalizedKernelVsNameSet(u, names), name_ref[k]) << u;
+    EXPECT_EQ(copied.NormalizedKernel(u, v), pair_ref[k]) << u << "," << v;
+    EXPECT_EQ(copied.NormalizedKernelVsNameSet(u, names), name_ref[k]) << u;
+    EXPECT_EQ(lazy.NormalizedKernelVsLabels(u, lazy.NameLabels(names),
+                                            names.size()),
+              name_ref[k])
+        << u;
+  }
+  // Post-build vertices stay featureless, bridges or not.
+  EXPECT_EQ(lazy.NormalizedKernel(kBuilt, kBuilt), 0.0);
+  EXPECT_EQ(lazy.NormalizedKernelVsNameSet(kBuilt, names), 0.0);
 }
 
 }  // namespace
